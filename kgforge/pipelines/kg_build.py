@@ -43,15 +43,12 @@ import ray
 from ray.data import Dataset
 
 from ..functions.html_text import extract_text_batch
-from ..keys import compose_edge_key_column, hash64
-from ..ontology import Ontology
-from ..stages.canonicalize import (add_bucket,
-                                   make_edge_finalizer,
-                                   make_edge_typed_builder,
-                                   make_node_finalizer)
+from ..keys import hash64
+from ..stages.canonicalize import (bucket_fold, make_edge_typed_builder,
+                                   make_node_finalizer, relation_fold)
 from ..stages.extract import TripleExtractor
 from ..stages.joins import (collect_key_set, filter_keys_in_broadcast,
-                            filter_kind, semi_join_keys)
+                            semi_join_keys)
 from ..state import checkpoint as ckpt
 
 
@@ -66,7 +63,6 @@ class KGBuildConfig:
     # autoscaling pools with min=1: a fixed-size pool that reserves every
     # CPU starves sibling task operators and deadlocks the pipeline
     extract_concurrency: Any = (1, 8)
-    normalize_concurrency: Any = (1, 4)
     # large normalize batches make Ray coalesce the extractor's small
     # output blocks, so the per-batch combiner compresses to ~one row per
     # distinct key per 64k mentions instead of per tiny block
@@ -308,40 +304,22 @@ def _fused_normalized(pages: Dataset, cfg: KGBuildConfig) -> Dataset:
 
 
 def build_nodes(normalized: Dataset, cfg: KGBuildConfig) -> Dataset:
-    ents = filter_kind(normalized, "entity")
-    # ship only what the fold needs — label is recovered from the key
-    ents = ents.map_batches(
-        lambda t: add_bucket(t.select(["node_key", "unique_json",
-                                       "state_json", "n_mentions"]),
-                             "node_key", cfg.n_buckets),
-        batch_format="pyarrow")
-    # sort-based shuffle (task-based, reuses warm workers — hash-shuffle
-    # aggregator ACTORS pay a spawn latency per groupby); parallelism
-    # comes from the reduced target block size set in build_kg
-    return ents.groupby("bucket").map_groups(
-        make_node_finalizer(cfg.ontology_json), batch_format="pandas")
+    return bucket_fold(normalized, "entity", cfg.n_buckets,
+                       make_node_finalizer(cfg.ontology_json))
 
 
 def build_edges(normalized: Dataset, nodes: Dataset, cfg: KGBuildConfig,
                 node_count: int | None = None) -> Dataset:
-    rels = filter_kind(normalized, "relation")
+    folded = bucket_fold(normalized, "relation", cfg.n_buckets,
+                         relation_fold)
+    return resolve_edges(folded, nodes, cfg, node_count=node_count)
 
-    def with_edge_key(t: pa.Table) -> pa.Table:
-        # vectorized compose_edge_key (keys.py) — arrow escape + join
-        # kernels, no per-row Python; ship only the fold inputs —
-        # label/src/dst are recovered by split_edge_key (components are
-        # escaped, so the split is unambiguous even when attribute
-        # values contain separator bytes)
-        keys = compose_edge_key_column(
-            t.column("label"), t.column("src_key"), t.column("dst_key"))
-        t = t.select(["state_json", "n_mentions"]).append_column(
-            "edge_key", keys)
-        return add_bucket(t, "edge_key", cfg.n_buckets)
 
-    rels = rels.map_batches(with_edge_key, batch_format="pyarrow")
-    folded = rels.groupby("bucket").map_groups(
-        make_edge_finalizer(cfg.ontology_json), batch_format="pandas")
-
+def resolve_edges(folded: Dataset, nodes: Dataset, cfg: KGBuildConfig,
+                  node_count: int | None = None) -> Dataset:
+    """Folded relation rows (one per edge key) → typed edge table: drop
+    edges with an endpoint outside ``nodes`` (the size gate picks a
+    broadcast key set or a shuffle semi-join), then build typed rows."""
     node_keys = nodes.select_columns(["node_key"])
     strategy = cfg.join_strategy
     if strategy == "auto":
@@ -414,16 +392,16 @@ def _build_kg_inner(pages: Dataset, cfg: KGBuildConfig,
         metrics["extract_sec"] = t1 - t0
         metrics["mentions"] = mentions.count()
         normalized = _normalized(mentions, cfg).materialize()
+        t2 = time.time()
+        metrics["normalize_sec"] = t2 - t1
     else:
         # in-memory fast path: ONE fused extract+normalize actor stage —
         # payloads flow straight into the combiner, only the compressed
         # normalized table is pinned (two branches consume it)
-        t1 = time.time()
         normalized = _fused_normalized(pages, cfg).materialize()
-        metrics["mentions"] = int(normalized.sum("n_mentions") or 0)
         metrics["extract_normalize_sec"] = time.time() - t0
-    t2 = time.time()
-    metrics["normalize_sec"] = t2 - t1
+        metrics["mentions"] = int(normalized.sum("n_mentions") or 0)
+        t2 = time.time()
 
     nodes = build_nodes(normalized, cfg).materialize()
     node_count = nodes.count()

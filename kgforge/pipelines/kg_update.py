@@ -19,13 +19,15 @@ full-rebuild kg_nodes/kg_edges SQL oracles).
 
 Dataflow per delta batch (sized by the DELTA, not the corpus):
 - the snapshot state is a compacted Dataset — ONE row per entity /
-  relation key holding the folded LWW state (the compaction fold is
-  the same coarse-bucket shuffle every canonicalize exchange uses);
+  relation key holding the folded LWW state.  ``compact_state`` runs
+  the build's own canonicalize folds (``canonicalize.bucket_fold`` with
+  ``entity_state_fold`` / ``relation_fold``): two exchanges;
 - ``apply_delta`` unions the state with the delta's normalized rows
-  (state rows are just another mergeable partial), compacts once, and
-  renders nodes/edges with the unchanged ``build_nodes``/
-  ``build_edges`` stages — no special-case merge code path to drift
-  out of sync with the batch pipeline.
+  (state rows are just another mergeable partial) and compacts once.
+  The compacted state already holds one row per key, so it is rendered
+  without another exchange: nodes by the build's node finalizer over
+  each block, edges by the build's endpoint gate + typed build
+  (``kg_build.resolve_edges``).  Two exchanges per delta in all.
 
 At 100 TB the state table is node+edge-key-sized (not corpus-sized),
 lives in partitioned Parquet via ``write_state``/``read_state``, and
@@ -34,88 +36,25 @@ each delta re-shuffles only state + delta rows.
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-import pyarrow as pa
-
 from ray.data import Dataset
 
-from ..keys import KEY_SEP, compose_edge_key, split_edge_key
-from ..stages.canonicalize import NORMALIZED_SCHEMA, _fold_group, add_bucket
+from ..stages.canonicalize import (NORMALIZED_SCHEMA, bucket_fold,
+                                   entity_state_fold, make_node_finalizer,
+                                   relation_fold)
 from ..stages.joins import filter_kind
-from .kg_build import KGBuildConfig, build_edges, build_nodes
-
-
-def _entity_state_fold(df: pd.DataFrame) -> pa.Table:
-    acc = _fold_group(df, "node_key", with_unique=True)
-    keys = sorted(acc)
-    import json
-    kind, label, uniq, state, n = [], [], [], [], []
-    for k in keys:
-        u, st, cnt = acc[k]
-        kind.append("entity")
-        label.append(k.split(KEY_SEP, 1)[0])
-        uniq.append(u)
-        state.append(json.dumps(st))
-        n.append(cnt)
-    return pa.Table.from_arrays(
-        [pa.array(kind, pa.string()), pa.array(label, pa.string()),
-         pa.array(keys, pa.string()), pa.array(uniq, pa.string()),
-         pa.array(state, pa.string()),
-         pa.array([None] * len(keys), pa.string()),
-         pa.array([None] * len(keys), pa.string()),
-         pa.array(n, pa.int64())],
-        schema=NORMALIZED_SCHEMA)
-
-
-def _relation_state_fold(df: pd.DataFrame) -> pa.Table:
-    acc = _fold_group(df, "edge_key", with_unique=False)
-    keys = sorted(acc)
-    import json
-    kind, label, sk, dk, state, n = [], [], [], [], [], []
-    for k in keys:
-        _u, st, cnt = acc[k]
-        lb, s, d = split_edge_key(k)
-        kind.append("relation")
-        label.append(lb)
-        sk.append(s)
-        dk.append(d)
-        state.append(json.dumps(st))
-        n.append(cnt)
-    return pa.Table.from_arrays(
-        [pa.array(kind, pa.string()), pa.array(label, pa.string()),
-         pa.array([None] * len(keys), pa.string()),
-         pa.array([None] * len(keys), pa.string()),
-         pa.array(state, pa.string()), pa.array(sk, pa.string()),
-         pa.array(dk, pa.string()), pa.array(n, pa.int64())],
-        schema=NORMALIZED_SCHEMA)
+from .kg_build import KGBuildConfig, resolve_edges
 
 
 def compact_state(normalized: Dataset, cfg: KGBuildConfig) -> Dataset:
     """Fold normalized mention rows to ONE row per entity/relation key
-    (the persistent snapshot state).  Two coarse-bucket folds — the
-    same exchanges `build_nodes`/`build_edges` run, just emitting
-    mergeable ``NORMALIZED_SCHEMA`` rows instead of final tables."""
-    ents = filter_kind(normalized, "entity")
-    ents = ents.map_batches(
-        lambda t: add_bucket(t, "node_key", cfg.n_buckets),
-        batch_format="pyarrow")
-    ents = ents.groupby("bucket").map_groups(_entity_state_fold,
-                                             batch_format="pandas")
-
-    rels = filter_kind(normalized, "relation")
-
-    def with_edge_key(t: pa.Table) -> pa.Table:
-        keys = [compose_edge_key(lb, s, d)
-                for lb, s, d in zip(t.column("label").to_pylist(),
-                                    t.column("src_key").to_pylist(),
-                                    t.column("dst_key").to_pylist())]
-        t = t.append_column("edge_key", pa.array(keys, pa.string()))
-        return add_bucket(t, "edge_key", cfg.n_buckets)
-
-    rels = rels.map_batches(with_edge_key, batch_format="pyarrow")
-    rels = rels.groupby("bucket").map_groups(_relation_state_fold,
-                                             batch_format="pandas")
+    (the persistent snapshot state): the build's two coarse-bucket
+    folds, emitting mergeable ``NORMALIZED_SCHEMA`` rows instead of
+    final tables."""
+    # both folds read the input: pin it once, or each branch re-runs
+    # the whole upstream (and a lazy extract can stall at one CPU)
+    normalized = normalized.materialize()
+    ents = bucket_fold(normalized, "entity", cfg.n_buckets, entity_state_fold)
+    rels = bucket_fold(normalized, "relation", cfg.n_buckets, relation_fold)
     return ents.union(rels)
 
 
@@ -124,13 +63,15 @@ def apply_delta(state: Dataset, delta_normalized: Dataset,
     """Merge a delta batch into the snapshot: returns
     ``(nodes, edges, new_state)``.  State rows union with the delta's
     normalized rows as ordinary mergeable partials; one compaction
-    shuffle, then the unchanged batch finalizers render the tables —
-    bit-identical to a full rebuild over all pages."""
-    merged = state.union(delta_normalized)
-    new_state = compact_state(merged, cfg).materialize()
-    nodes = build_nodes(new_state, cfg).materialize()
-    edges = build_edges(new_state, nodes, cfg,
-                        node_count=nodes.count())
+    (two exchanges), then the build's finalizers render the one-row-
+    per-key state block by block — bit-identical to a full rebuild over
+    all pages."""
+    new_state = compact_state(state.union(delta_normalized), cfg).materialize()
+    nodes = filter_kind(new_state, "entity").map_batches(
+        make_node_finalizer(cfg.ontology_json), batch_format="pandas",
+        batch_size=None).materialize()
+    edges = resolve_edges(filter_kind(new_state, "relation"), nodes, cfg,
+                          node_count=nodes.count())
     return nodes, edges, new_state
 
 

@@ -16,10 +16,12 @@ Scale design (the whole point):
 1. **Combiner**: each batch pre-aggregates mentions per key inside
    ``map_batches`` — the shuffle then moves at most one row per
    (key, block), which also neutralizes Zipfian head-entity skew.
-2. **Bucketed final fold**: ``groupby("bucket")`` over
-   ``bucket = hash64(key) % n_buckets`` — one ``map_groups`` call per
-   bucket (not per key), so the per-group Python overhead is O(buckets),
-   and bucket count scales with the cluster, not the key count.
+2. **Bucketed final fold** (:func:`bucket_fold`): ``groupby("bucket")``
+   over ``bucket = key_bucket(key, n_buckets)`` — one ``map_groups`` call
+   per bucket (not per key), so the per-group Python overhead is
+   O(buckets), and bucket count scales with the cluster, not the key
+   count.  The build's node and edge folds and the incremental state's
+   two folds all run it.
 3. **Endpoint semi-join**: broadcast the node-key set (``ray.put`` once)
    when the node table is small, else a hash-partitioned
    ``Dataset.join`` — both exact, chosen by ``join_strategy``.
@@ -35,19 +37,22 @@ from __future__ import annotations
 import json
 from typing import Any
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
+from ray.data import Dataset
 
-from ..keys import (KEY_SEP, coerce_value, compose_edge_key, hash64,
-                    node_key, non_unique_attr_dict, render_properties,
+from ..keys import (KEY_SEP, coerce_value, compose_edge_key,
+                    compose_edge_key_column, hash64, node_key,
+                    non_unique_attr_dict, render_properties,
                     split_edge_key, unique_attr_dict)
-from ..ontology import Entity, Ontology
+from ..ontology import Ontology
 # top-level (not runtime) import so worker tasks never need kgforge on
 # sys.path when the by-value cloudpickle fallback is active
 from .extract import RuleBasedExtractor  # noqa: E402
+from .joins import key_bucket
 
 NORMALIZED_SCHEMA = pa.schema([
     ("kind", pa.string()),
@@ -59,6 +64,16 @@ NORMALIZED_SCHEMA = pa.schema([
     ("dst_key", pa.string()),
     ("n_mentions", pa.int64()),
 ])
+
+
+def _normalized_table(**cols: list) -> pa.Table:
+    """``NORMALIZED_SCHEMA`` table from per-column lists; columns not
+    given are all-null."""
+    n = len(cols["kind"])
+    return pa.Table.from_arrays(
+        [pa.array(cols[f.name], f.type) if f.name in cols
+         else pa.nulls(n, f.type) for f in NORMALIZED_SCHEMA],
+        schema=NORMALIZED_SCHEMA)
 
 
 def _resolve_aliases(label: str, attrs: dict, alias_map: dict | None) -> dict:
@@ -260,22 +275,19 @@ class _MentionFolder:
         return key
 
     def finish_batch(self) -> pa.Table:
-        kind, label_o, nkey, uniq_o, state_o, sk_o, dk_o, nm = \
-            [], [], [], [], [], [], [], []
-        for key, (label, uniq, state, n) in self._ent_acc.items():
-            kind.append("entity"); label_o.append(label); nkey.append(key)
-            uniq_o.append(uniq); state_o.append(json.dumps(state))
-            sk_o.append(None); dk_o.append(None); nm.append(n)
-        for ekey, (label, skey, dkey, state, n) in self._rel_acc.items():
-            kind.append("relation"); label_o.append(label); nkey.append(None)
-            uniq_o.append(None); state_o.append(json.dumps(state))
-            sk_o.append(skey); dk_o.append(dkey); nm.append(n)
-        return pa.Table.from_arrays(
-            [pa.array(kind, pa.string()), pa.array(label_o, pa.string()),
-             pa.array(nkey, pa.string()), pa.array(uniq_o, pa.string()),
-             pa.array(state_o, pa.string()), pa.array(sk_o, pa.string()),
-             pa.array(dk_o, pa.string()), pa.array(nm, pa.int64())],
-            schema=NORMALIZED_SCHEMA)
+        ents, rels = self._ent_acc, self._rel_acc
+        return _normalized_table(
+            kind=["entity"] * len(ents) + ["relation"] * len(rels),
+            label=[v[0] for v in ents.values()]
+            + [v[0] for v in rels.values()],
+            node_key=list(ents) + [None] * len(rels),
+            unique_json=[v[1] for v in ents.values()] + [None] * len(rels),
+            state_json=[json.dumps(v[2]) for v in ents.values()]
+            + [json.dumps(v[3]) for v in rels.values()],
+            src_key=[None] * len(ents) + [v[1] for v in rels.values()],
+            dst_key=[None] * len(ents) + [v[2] for v in rels.values()],
+            n_mentions=[v[3] for v in ents.values()]
+            + [v[4] for v in rels.values()])
 
 
 class NormalizeMentions:
@@ -463,10 +475,42 @@ def fused_extract_normalize_task(batch: pa.Table, *, ontology_json: str,
 
 
 def add_bucket(batch: pa.Table, col: str, n_buckets: int) -> pa.Table:
-    keys = batch.column(col).to_pylist()
-    buckets = np.fromiter((hash64(k) % n_buckets for k in keys),
-                          dtype=np.int64, count=len(keys))
-    return batch.append_column("bucket", pa.array(buckets, pa.int64()))
+    """Append the shuffle-routing ``bucket`` column
+    (:func:`~kgforge.stages.joins.key_bucket` of ``col``)."""
+    return batch.append_column("bucket",
+                               key_bucket(batch.column(col), n_buckets))
+
+
+def _fold_input(t: pa.Table, kind: str, n_buckets: int) -> pa.Table:
+    """Rows of one ``kind``, cut to what its fold reads, plus the bucket.
+    Labels (and relation endpoints) are recovered from the key, so only
+    key, state and count ride the shuffle."""
+    t = t.filter(pc.equal(t.column("kind"), kind))
+    if kind == "entity":
+        t = t.select(["node_key", "unique_json", "state_json", "n_mentions"])
+        return add_bucket(t, "node_key", n_buckets)
+    # components are escaped at composition, so split_edge_key recovers
+    # them even when attribute values contain separator bytes
+    keys = compose_edge_key_column(t.column("label"), t.column("src_key"),
+                                   t.column("dst_key"))
+    t = t.select(["state_json", "n_mentions"]).append_column("edge_key", keys)
+    return add_bucket(t, "edge_key", n_buckets)
+
+
+def bucket_fold(normalized: Dataset, kind: str, n_buckets: int,
+                fold) -> Dataset:
+    """The exchange every canonicalize fold runs: normalized rows of one
+    ``kind`` → ``groupby("bucket").map_groups(fold)``, one call per
+    bucket (not per key), so per-group Python overhead is O(buckets).
+
+    A sort-based shuffle: it is task-based and reuses warm workers,
+    where hash-shuffle aggregator actors pay a spawn latency per
+    groupby; its parallelism comes from the block size ``build_kg``
+    sets."""
+    routed = normalized.map_batches(
+        _fold_input, fn_kwargs={"kind": kind, "n_buckets": n_buckets},
+        batch_format="pyarrow")
+    return routed.groupby("bucket").map_groups(fold, batch_format="pandas")
 
 
 def _unified_attr_schema(parts: list[tuple[str, list]]) -> dict[str, str]:
@@ -559,34 +603,35 @@ def make_node_finalizer(ontology_json: str):
     return finalize
 
 
-def make_edge_finalizer(ontology_json: str):
-    """Per-bucket fold → deduped edge rows (pre-join).
+def entity_state_fold(df: pd.DataFrame) -> pa.Table:
+    """Per-bucket fold → one mergeable ``NORMALIZED_SCHEMA`` row per
+    entity key (the incremental snapshot state)."""
+    acc = _fold_group(df, "node_key", with_unique=True)
+    keys = sorted(acc)
+    return _normalized_table(
+        kind=["entity"] * len(keys),
+        label=[k.split(KEY_SEP, 1)[0] for k in keys],
+        node_key=keys,
+        unique_json=[acc[k][0] for k in keys],
+        state_json=[json.dumps(acc[k][1]) for k in keys],
+        n_mentions=[acc[k][2] for k in keys])
 
-    Output: ``edge_key, label, src_key, dst_key, state_json (folded),
-    n_mentions`` — endpoint ids and typed attrs are attached after the
-    endpoint semi-join (``attach_edge_ids_and_attrs``)."""
 
-    def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        acc = _fold_group(df, "edge_key", with_unique=False)
-        keys = sorted(acc)
-        rows = {"edge_key": [], "label": [], "src_key": [], "dst_key": [],
-                "state_json": [], "n_mentions": []}
-        for key in keys:
-            _u, state, n = acc[key]
-            # components were escaped at composition, so the split is
-            # unambiguous even for values containing separator bytes
-            label, skey, dkey = split_edge_key(key)
-            rows["edge_key"].append(key)
-            rows["label"].append(label)
-            rows["src_key"].append(skey)
-            rows["dst_key"].append(dkey)
-            rows["state_json"].append(json.dumps(state))
-            rows["n_mentions"].append(n)
-        out = pd.DataFrame(rows)
-        out["n_mentions"] = out["n_mentions"].astype(np.int64)
-        return out
-
-    return finalize
+def relation_fold(df: pd.DataFrame) -> pa.Table:
+    """Per-bucket fold → one ``NORMALIZED_SCHEMA`` row per edge key.
+    Both the build's edge path and the incremental snapshot state run
+    it; endpoint ids and typed attrs are attached after the endpoint
+    semi-join (:func:`make_edge_typed_builder`)."""
+    acc = _fold_group(df, "edge_key", with_unique=False)
+    keys = sorted(acc)
+    parts = [split_edge_key(k) for k in keys]
+    return _normalized_table(
+        kind=["relation"] * len(keys),
+        label=[p[0] for p in parts],
+        state_json=[json.dumps(acc[k][1]) for k in keys],
+        src_key=[p[1] for p in parts],
+        dst_key=[p[2] for p in parts],
+        n_mentions=[acc[k][2] for k in keys])
 
 
 def _typed_array(values: list, attr_type: str) -> pa.Array:
@@ -598,8 +643,10 @@ def _typed_array(values: list, attr_type: str) -> pa.Array:
 
 
 def make_edge_typed_builder(ontology_json: str):
-    """Post-join ``map_batches`` body: folded edge rows → typed edge table
-    ``edge_id, label, src_id, dst_id, <attr cols>, n_mentions``.
+    """Post-join ``map_batches`` body: folded relation rows (one per edge
+    key, :func:`relation_fold`) → typed edge table
+    ``edge_id, label, src_id, dst_id, <attr cols>, n_mentions``, where
+    ``edge_id`` hashes the composed (label, src, dst) edge key.
 
     Attributes not declared on any ontology relation are dropped here (the
     Arrow sink is typed; the reference's schemaless DB kept them — see
@@ -609,9 +656,14 @@ def make_edge_typed_builder(ontology_json: str):
     attr_names = list(schema)
 
     def build(df: pd.DataFrame) -> pa.Table:
+        labels = pa.array(df["label"], pa.string())
+        edge_keys = compose_edge_key_column(
+            labels, pa.array(df["src_key"], pa.string()),
+            pa.array(df["dst_key"], pa.string()))
         arrays = [
-            pa.array([hash64(k) for k in df["edge_key"]], pa.uint64()),
-            pa.array(df["label"].tolist(), pa.string()),
+            pa.array([hash64(k) for k in edge_keys.to_pylist()],
+                     pa.uint64()),
+            labels,
             pa.array([hash64(k) for k in df["src_key"]], pa.uint64()),
             pa.array([hash64(k) for k in df["dst_key"]], pa.uint64()),
         ]

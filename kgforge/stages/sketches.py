@@ -198,26 +198,6 @@ class QuantileSketch:
         return s
 
 
-def approx_quantiles(ds: Dataset, col: str, qs: list[float],
-                     k: int = 1024) -> pa.Table:
-    """Distributed approximate quantiles: one sketch row per batch,
-    merged on the driver (O(batches × k) bytes ever move)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        sk = QuantileSketch(k).add_batch(
-            batch.column(col).to_numpy(zero_copy_only=False))
-        return pa.table({"sk": pa.array([sk.to_bytes()], pa.binary())})
-
-    merged = QuantileSketch(k)
-    for b in (ds.map_batches(partial, batch_format="pyarrow")
-                .iter_batches(batch_size=1024, batch_format="pyarrow")):
-        for raw in b.column("sk").to_pylist():
-            merged.merge(QuantileSketch.from_bytes(raw, k))
-    return pa.table({"q": pa.array(qs, pa.float64()),
-                     "value": pa.array([merged.query(q) for q in qs],
-                                       pa.float64())})
-
-
 HIST_QUANTILE_BINS = 4096
 
 

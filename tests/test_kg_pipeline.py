@@ -20,8 +20,7 @@ def _run(corpus, **cfg_kw):
     pages = ray.data.from_arrow(corpus.pages)
     cfg = KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
                         alias_map=corpus.alias_map,
-                        extract_concurrency=2, normalize_concurrency=2,
-                        n_buckets=8, **cfg_kw)
+                        extract_concurrency=2, n_buckets=8, **cfg_kw)
     return build_kg(pages, cfg)
 
 
@@ -110,8 +109,7 @@ def test_unknown_labels_dropped():
 
     cfg = KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
                         model_factory=NoisyExtractor,
-                        extract_concurrency=2, normalize_concurrency=2,
-                        n_buckets=4)
+                        extract_concurrency=2, n_buckets=4)
     res = build_kg(pages, cfg)
     nodes = res.nodes.to_pandas()
     assert set(nodes["label"]) == {"Person"}   # Alien dropped
@@ -137,8 +135,7 @@ def test_dangling_edges_dropped(small_corpus):
 
     cfg = KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
                         model_factory=DanglingExtractor,
-                        extract_concurrency=2, normalize_concurrency=2,
-                        n_buckets=4)
+                        extract_concurrency=2, n_buckets=4)
     res = build_kg(pages, cfg)
     assert res.nodes.count() == 1
     assert res.edges.count() == 0
@@ -190,6 +187,24 @@ def test_resume_shard_count_mismatch_rejected(tmp_path):
                         alias_map=corpus.alias_map, n_shards=8, n_buckets=2)
     with pytest.raises(ValueError, match="n_shards"):
         build_kg(pages, cfg2, output_dir=out, resume=True)
+
+
+def test_metric_keys_per_path(small_corpus, built, tmp_path):
+    """Each path records only the phases it runs: the in-memory path
+    extracts and normalizes in one fused stage (one timer), the
+    checkpointed path times the two apart and reports its shards."""
+    common = {"config", "mentions", "nodes", "canonicalize_nodes_sec",
+              "edges", "edges_sec", "total_sec"}
+    assert set(built.metrics) == common | {"extract_normalize_sec"}
+
+    pages = ray.data.from_arrow(small_corpus.pages.slice(0, 40))
+    cfg = KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
+                        alias_map=small_corpus.alias_map, n_buckets=4,
+                        n_shards=2)
+    res = build_kg(pages, cfg, output_dir=str(tmp_path / "out"))
+    assert set(res.metrics) == common | {
+        "extract_sec", "normalize_sec", "resume_skipped_shards",
+        "resume_recomputed_shards", "shard_fn"}
 
 
 def test_head_key_skew_bounded_by_combiner():

@@ -14,8 +14,7 @@ from kgforge.testing.corpus import ONTOLOGY_JSON, write_corpus
 def _cfg(corpus):
     return KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
                          alias_map=corpus.alias_map,
-                         extract_concurrency=2, normalize_concurrency=2,
-                         n_buckets=4, n_shards=4)
+                         extract_concurrency=2, n_buckets=4, n_shards=4)
 
 
 def _hashes(out):
