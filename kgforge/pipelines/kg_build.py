@@ -14,10 +14,13 @@ Stage graph::
       → map_batches(TripleExtractor, ...)     # ACTOR POOL, model built once
       → [checkpoint: mentions/ shard=N parquet + manifests]   (resume unit)
       → map_batches(NormalizeMentions)        # sanitize/link/key + combiner
-      → entities: groupby(bucket) fold        # shuffle #1 (pre-aggregated)
-      → nodes parquet
-      → edges: groupby(bucket) fold           # shuffle #2
-      → semi-join src/dst against node keys   # dangling-edge drop (MATCH no-op)
+        (in memory: one fused extract+normalize stage instead)
+      → compact_state: groupby(bucket) fold   # the one canonicalize shuffle,
+                                              #   both kinds; one row per key
+      → materialize state                     # both renders read it
+      → entity rows → node finalizer → nodes parquet
+      → relation rows → semi-join src/dst against node keys
+                                              # dangling-edge drop (MATCH no-op)
       → typed edge build → edges parquet
 
 The extraction checkpoint shards by ``shard_fn(url) % n_shards`` so a
@@ -45,10 +48,10 @@ from ray.data import Dataset
 from ..functions.html_text import extract_text_batch
 from ..keys import hash64
 from ..stages.canonicalize import (bucket_fold, make_edge_typed_builder,
-                                   make_node_finalizer, relation_fold)
+                                   make_node_finalizer)
 from ..stages.extract import TripleExtractor
 from ..stages.joins import (collect_key_set, filter_keys_in_broadcast,
-                            semi_join_keys)
+                            filter_kind, semi_join_keys)
 from ..state import checkpoint as ckpt
 
 
@@ -303,23 +306,27 @@ def _fused_normalized(pages: Dataset, cfg: KGBuildConfig) -> Dataset:
         concurrency=conc)
 
 
-def build_nodes(normalized: Dataset, cfg: KGBuildConfig) -> Dataset:
-    return bucket_fold(normalized, "entity", cfg.n_buckets,
-                       make_node_finalizer(cfg.ontology_json))
+def compact_state(normalized: Dataset, cfg: KGBuildConfig) -> Dataset:
+    """Fold normalized partials to ONE row per entity / relation key:
+    the build's one canonicalize exchange, and the mergeable snapshot
+    state an incremental update keeps (``kg_update``)."""
+    return bucket_fold(normalized, cfg.n_buckets)
 
 
-def build_edges(normalized: Dataset, nodes: Dataset, cfg: KGBuildConfig,
+def build_nodes(state: Dataset, cfg: KGBuildConfig) -> Dataset:
+    """Folded state → typed node table.  The state holds one row per
+    key, so the finalizer runs block by block with no exchange."""
+    return filter_kind(state, "entity").map_batches(
+        make_node_finalizer(cfg.ontology_json), batch_format="pyarrow",
+        batch_size=None)
+
+
+def build_edges(state: Dataset, nodes: Dataset, cfg: KGBuildConfig,
                 node_count: int | None = None) -> Dataset:
-    folded = bucket_fold(normalized, "relation", cfg.n_buckets,
-                         relation_fold)
-    return resolve_edges(folded, nodes, cfg, node_count=node_count)
-
-
-def resolve_edges(folded: Dataset, nodes: Dataset, cfg: KGBuildConfig,
-                  node_count: int | None = None) -> Dataset:
-    """Folded relation rows (one per edge key) → typed edge table: drop
-    edges with an endpoint outside ``nodes`` (the size gate picks a
-    broadcast key set or a shuffle semi-join), then build typed rows."""
+    """Folded state → typed edge table: drop relations with an endpoint
+    outside ``nodes`` (the size gate picks a broadcast key set or a
+    shuffle semi-join), then build typed rows."""
+    folded = filter_kind(state, "relation")
     node_keys = nodes.select_columns(["node_key"])
     strategy = cfg.join_strategy
     if strategy == "auto":
@@ -345,9 +352,10 @@ def build_kg(pages: Dataset, cfg: KGBuildConfig,
     """Run the full pipeline.
 
     With ``output_dir``, every phase checkpoints to partitioned Parquet
-    with per-partition manifests and the run is resumable; without it the
-    intermediate mention table is pinned in the object store (small
-    relative to pages) so the entity/edge branches don't re-extract.
+    with per-partition manifests and the run is resumable; without it
+    extraction streams straight into the canonicalize fold.  Either way
+    only the folded state (one row per key) is pinned, because the node
+    and edge renders both read it.
     """
     t0 = time.time()
     metrics: dict[str, Any] = {"config": {
@@ -390,26 +398,25 @@ def _build_kg_inner(pages: Dataset, cfg: KGBuildConfig,
                                           metrics)
         t1 = time.time()
         metrics["extract_sec"] = t1 - t0
-        metrics["mentions"] = mentions.count()
-        normalized = _normalized(mentions, cfg).materialize()
-        t2 = time.time()
-        metrics["normalize_sec"] = t2 - t1
+        normalized = _normalized(mentions, cfg)
     else:
-        # in-memory fast path: ONE fused extract+normalize actor stage —
-        # payloads flow straight into the combiner, only the compressed
-        # normalized table is pinned (two branches consume it)
-        normalized = _fused_normalized(pages, cfg).materialize()
-        metrics["extract_normalize_sec"] = time.time() - t0
-        metrics["mentions"] = int(normalized.sum("n_mentions") or 0)
-        t2 = time.time()
+        # in-memory fast path: ONE fused extract+normalize stage —
+        # payloads flow straight into the combiner and on into the fold
+        t1 = t0
+        normalized = _fused_normalized(pages, cfg)
 
-    nodes = build_nodes(normalized, cfg).materialize()
+    # the one exchange; its state is pinned because both renders read it
+    state = compact_state(normalized, cfg).materialize()
+    metrics["mentions"] = int(state.sum("n_mentions") or 0)
+    nodes = build_nodes(state, cfg).materialize()
     node_count = nodes.count()
-    t3 = time.time()
+    t2 = time.time()
     metrics["nodes"] = node_count
-    metrics["canonicalize_nodes_sec"] = t3 - t2
+    # in memory, extraction streams into the fold: one timer covers both
+    metrics["canonicalize_sec" if output_dir
+            else "extract_canonicalize_sec"] = t2 - t1
 
-    edges = build_edges(normalized, nodes, cfg, node_count=node_count)
+    edges = build_edges(state, nodes, cfg, node_count=node_count)
     if output_dir:
         nodes_dir = os.path.join(output_dir, "nodes")
         edges_dir = os.path.join(output_dir, "edges")
@@ -423,9 +430,9 @@ def _build_kg_inner(pages: Dataset, cfg: KGBuildConfig,
         edges.write_parquet(edges_dir)
         edges = ray.data.read_parquet(edges_dir)
         metrics["edges"] = edges.count()
-        t4 = time.time()
-        metrics["edges_sec"] = t4 - t3
-        metrics["total_sec"] = t4 - t0
+        t3 = time.time()
+        metrics["edges_sec"] = t3 - t2
+        metrics["total_sec"] = t3 - t0
         with open(os.path.join(output_dir, "ontology.json"), "w") as fh:
             fh.write(cfg.ontology_json)
         # lineage manifests for the final tables (same shape as the
@@ -441,9 +448,9 @@ def _build_kg_inner(pages: Dataset, cfg: KGBuildConfig,
     else:
         edges = edges.materialize()
         metrics["edges"] = edges.count()
-        t4 = time.time()
-        metrics["edges_sec"] = t4 - t3
-        metrics["total_sec"] = t4 - t0
+        t3 = time.time()
+        metrics["edges_sec"] = t3 - t2
+        metrics["total_sec"] = t3 - t0
     return KGResult(nodes, edges, metrics)
 
 

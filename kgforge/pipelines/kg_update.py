@@ -19,15 +19,15 @@ full-rebuild kg_nodes/kg_edges SQL oracles).
 
 Dataflow per delta batch (sized by the DELTA, not the corpus):
 - the snapshot state is a compacted Dataset — ONE row per entity /
-  relation key holding the folded LWW state.  ``compact_state`` runs
-  the build's own canonicalize folds (``canonicalize.bucket_fold`` with
-  ``entity_state_fold`` / ``relation_fold``): two exchanges;
+  relation key holding the folded LWW state.  ``compact_state`` is the
+  build's own canonicalize fold (``kg_build.compact_state``): one
+  exchange for both kinds;
 - ``apply_delta`` unions the state with the delta's normalized rows
-  (state rows are just another mergeable partial) and compacts once.
-  The compacted state already holds one row per key, so it is rendered
-  without another exchange: nodes by the build's node finalizer over
-  each block, edges by the build's endpoint gate + typed build
-  (``kg_build.resolve_edges``).  Two exchanges per delta in all.
+  (state rows are just another mergeable partial) and compacts once;
+  keys the delta does not touch pass through the fold unparsed.  The
+  compacted state is then rendered exactly as a build renders its
+  state (``kg_build.build_nodes`` / ``build_edges``), with no further
+  exchange.  One exchange per delta in all.
 
 At 100 TB the state table is node+edge-key-sized (not corpus-sized),
 lives in partitioned Parquet via ``write_state``/``read_state``, and
@@ -38,40 +38,20 @@ from __future__ import annotations
 
 from ray.data import Dataset
 
-from ..stages.canonicalize import (NORMALIZED_SCHEMA, bucket_fold,
-                                   entity_state_fold, make_node_finalizer,
-                                   relation_fold)
-from ..stages.joins import filter_kind
-from .kg_build import KGBuildConfig, resolve_edges
-
-
-def compact_state(normalized: Dataset, cfg: KGBuildConfig) -> Dataset:
-    """Fold normalized mention rows to ONE row per entity/relation key
-    (the persistent snapshot state): the build's two coarse-bucket
-    folds, emitting mergeable ``NORMALIZED_SCHEMA`` rows instead of
-    final tables."""
-    # both folds read the input: pin it once, or each branch re-runs
-    # the whole upstream (and a lazy extract can stall at one CPU)
-    normalized = normalized.materialize()
-    ents = bucket_fold(normalized, "entity", cfg.n_buckets, entity_state_fold)
-    rels = bucket_fold(normalized, "relation", cfg.n_buckets, relation_fold)
-    return ents.union(rels)
+from ..stages.canonicalize import NORMALIZED_SCHEMA
+from .kg_build import KGBuildConfig, build_edges, build_nodes, compact_state
 
 
 def apply_delta(state: Dataset, delta_normalized: Dataset,
                 cfg: KGBuildConfig):
     """Merge a delta batch into the snapshot: returns
     ``(nodes, edges, new_state)``.  State rows union with the delta's
-    normalized rows as ordinary mergeable partials; one compaction
-    (two exchanges), then the build's finalizers render the one-row-
-    per-key state block by block — bit-identical to a full rebuild over
-    all pages."""
+    normalized rows as ordinary mergeable partials; one compaction (one
+    exchange), then the build's renders turn the new state into nodes
+    and edges — bit-identical to a full rebuild over all pages."""
     new_state = compact_state(state.union(delta_normalized), cfg).materialize()
-    nodes = filter_kind(new_state, "entity").map_batches(
-        make_node_finalizer(cfg.ontology_json), batch_format="pandas",
-        batch_size=None).materialize()
-    edges = resolve_edges(filter_kind(new_state, "relation"), nodes, cfg,
-                          node_count=nodes.count())
+    nodes = build_nodes(new_state, cfg).materialize()
+    edges = build_edges(new_state, nodes, cfg, node_count=nodes.count())
     return nodes, edges, new_state
 
 

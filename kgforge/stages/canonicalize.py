@@ -16,15 +16,21 @@ Scale design (the whole point):
 1. **Combiner**: each batch pre-aggregates mentions per key inside
    ``map_batches`` — the shuffle then moves at most one row per
    (key, block), which also neutralizes Zipfian head-entity skew.
-2. **Bucketed final fold** (:func:`bucket_fold`): ``groupby("bucket")``
-   over ``bucket = key_bucket(key, n_buckets)`` — one ``map_groups`` call
-   per bucket (not per key), so the per-group Python overhead is
-   O(buckets), and bucket count scales with the cluster, not the key
-   count.  The build's node and edge folds and the incremental state's
-   two folds all run it.
+2. **One bucketed fold for both kinds** (:func:`bucket_fold`): entity
+   and relation partials share one ``groupby("bucket")`` over
+   ``bucket = key_bucket(key, n_buckets)`` (key = node key, or the
+   composed edge key) — one ``map_groups`` call per bucket (not per
+   key), so the per-group Python overhead is O(buckets), and bucket
+   count scales with the cluster, not the key count.  It emits the
+   mergeable state, one ``NORMALIZED_SCHEMA`` row per key; a key with
+   a single partial passes through without a JSON parse.  A build and
+   an incremental delta both run it once, then render nodes and edges
+   from the state with no further exchange.
 3. **Endpoint semi-join**: broadcast the node-key set (``ray.put`` once)
    when the node table is small, else a hash-partitioned
-   ``Dataset.join`` — both exact, chosen by ``join_strategy``.
+   ``Dataset.join`` — both exact, chosen by ``join_strategy``.  The
+   node finalizer never drops a key, so the node set is exactly the
+   state's entity keys.
 
 The attribute-merge state is associative/commutative: per attribute keep
 ``(max (warc_ts, url, seq), value)``; merging partials takes the larger
@@ -37,6 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -47,7 +54,7 @@ from ray.data import Dataset
 from ..keys import (KEY_SEP, coerce_value, compose_edge_key,
                     compose_edge_key_column, hash64, node_key,
                     non_unique_attr_dict, render_properties,
-                    split_edge_key, unique_attr_dict)
+                    unique_attr_dict)
 from ..ontology import Ontology
 # top-level (not runtime) import so worker tasks never need kgforge on
 # sys.path when the by-value cloudpickle fallback is active
@@ -64,16 +71,6 @@ NORMALIZED_SCHEMA = pa.schema([
     ("dst_key", pa.string()),
     ("n_mentions", pa.int64()),
 ])
-
-
-def _normalized_table(**cols: list) -> pa.Table:
-    """``NORMALIZED_SCHEMA`` table from per-column lists; columns not
-    given are all-null."""
-    n = len(cols["kind"])
-    return pa.Table.from_arrays(
-        [pa.array(cols[f.name], f.type) if f.name in cols
-         else pa.nulls(n, f.type) for f in NORMALIZED_SCHEMA],
-        schema=NORMALIZED_SCHEMA)
 
 
 def _resolve_aliases(label: str, attrs: dict, alias_map: dict | None) -> dict:
@@ -276,7 +273,7 @@ class _MentionFolder:
 
     def finish_batch(self) -> pa.Table:
         ents, rels = self._ent_acc, self._rel_acc
-        return _normalized_table(
+        return pa.table(dict(
             kind=["entity"] * len(ents) + ["relation"] * len(rels),
             label=[v[0] for v in ents.values()]
             + [v[0] for v in rels.values()],
@@ -287,7 +284,7 @@ class _MentionFolder:
             src_key=[None] * len(ents) + [v[1] for v in rels.values()],
             dst_key=[None] * len(ents) + [v[2] for v in rels.values()],
             n_mentions=[v[3] for v in ents.values()]
-            + [v[4] for v in rels.values()])
+            + [v[4] for v in rels.values()]), schema=NORMALIZED_SCHEMA)
 
 
 class NormalizeMentions:
@@ -481,36 +478,74 @@ def add_bucket(batch: pa.Table, col: str, n_buckets: int) -> pa.Table:
                                key_bucket(batch.column(col), n_buckets))
 
 
-def _fold_input(t: pa.Table, kind: str, n_buckets: int) -> pa.Table:
-    """Rows of one ``kind``, cut to what its fold reads, plus the bucket.
-    Labels (and relation endpoints) are recovered from the key, so only
-    key, state and count ride the shuffle."""
-    t = t.filter(pc.equal(t.column("kind"), kind))
-    if kind == "entity":
-        t = t.select(["node_key", "unique_json", "state_json", "n_mentions"])
-        return add_bucket(t, "node_key", n_buckets)
-    # components are escaped at composition, so split_edge_key recovers
-    # them even when attribute values contain separator bytes
-    keys = compose_edge_key_column(t.column("label"), t.column("src_key"),
-                                   t.column("dst_key"))
-    t = t.select(["state_json", "n_mentions"]).append_column("edge_key", keys)
-    return add_bucket(t, "edge_key", n_buckets)
+def _fold_key(t: pa.Table) -> pa.Array:
+    """The fold key of each normalized row: ``node_key`` for entities,
+    the composed (label, src, dst) edge key for relations (components
+    are escaped at composition, so separator bytes in attribute values
+    cannot make two edges collide)."""
+    edge_keys = compose_edge_key_column(t.column("label"), t.column("src_key"),
+                                        t.column("dst_key"))
+    return pc.if_else(pc.equal(t.column("kind"), "entity"),
+                      t.column("node_key"), edge_keys)
 
 
-def bucket_fold(normalized: Dataset, kind: str, n_buckets: int,
-                fold) -> Dataset:
-    """The exchange every canonicalize fold runs: normalized rows of one
-    ``kind`` → ``groupby("bucket").map_groups(fold)``, one call per
-    bucket (not per key), so per-group Python overhead is O(buckets).
+def _fold_input(t: pa.Table, n_buckets: int) -> pa.Table:
+    """Normalized rows of both kinds plus the bucket of their fold key."""
+    return t.append_column("bucket", key_bucket(_fold_key(t), n_buckets))
+
+
+def state_fold(t: pa.Table) -> pa.Table:
+    """Per-bucket fold → one mergeable ``NORMALIZED_SCHEMA`` row per
+    entity / relation key, sorted by key.  A key with a single partial
+    passes through untouched (its ``state_json`` is never parsed); only
+    repeated keys are merged (:func:`_merge_state`), keeping the first
+    partial's identity columns and summing mention counts."""
+    t = t.append_column("key", _fold_key(t)).sort_by(
+        [("key", "ascending"), ("kind", "ascending")])
+    n = t.num_rows
+    first = np.ones(n, dtype=bool)  # row starts a new (key, kind) run
+    if n > 1:
+        key, kind = t.column("key"), t.column("kind")
+        first[1:] = ~pc.and_(
+            pc.equal(key.slice(1), key.slice(0, n - 1)),
+            pc.equal(kind.slice(1), kind.slice(0, n - 1))).to_numpy()
+    starts = np.flatnonzero(first)
+    out = t.take(starts)
+    sizes = np.diff(starts, append=n)
+    repeated = sizes > 1
+    cols = {name: out.column(name) for name in NORMALIZED_SCHEMA.names}
+    if repeated.any():
+        parts = t.column("state_json").filter(
+            np.repeat(repeated, sizes)).to_pylist()
+        merged, i = [], 0
+        for size in sizes[repeated]:
+            acc: dict = {}
+            for part in parts[i:i + size]:
+                _merge_state(acc, json.loads(part))
+            merged.append(json.dumps(acc))
+            i += size
+        cols["state_json"] = pc.replace_with_mask(
+            cols["state_json"].combine_chunks(), repeated,
+            pa.array(merged, pa.string()))
+        cols["n_mentions"] = np.add.reduceat(
+            t.column("n_mentions").to_numpy(), starts)
+    return pa.table(cols, schema=NORMALIZED_SCHEMA)
+
+
+def bucket_fold(normalized: Dataset, n_buckets: int) -> Dataset:
+    """The one canonicalize exchange: normalized rows of both kinds →
+    ``groupby("bucket").map_groups(state_fold)``, one call per bucket
+    (not per key), so per-group Python overhead is O(buckets).
 
     A sort-based shuffle: it is task-based and reuses warm workers,
     where hash-shuffle aggregator actors pay a spawn latency per
     groupby; its parallelism comes from the block size ``build_kg``
     sets."""
     routed = normalized.map_batches(
-        _fold_input, fn_kwargs={"kind": kind, "n_buckets": n_buckets},
+        _fold_input, fn_kwargs={"n_buckets": n_buckets},
         batch_format="pyarrow")
-    return routed.groupby("bucket").map_groups(fold, batch_format="pandas")
+    return routed.groupby("bucket").map_groups(state_fold,
+                                               batch_format="pyarrow")
 
 
 def _unified_attr_schema(parts: list[tuple[str, list]]) -> dict[str, str]:
@@ -537,31 +572,9 @@ def edge_attr_schema(ontology: Ontology) -> dict[str, str]:
                                  for r in ontology.relations])
 
 
-def _fold_group(df: pd.DataFrame, key_col: str, with_unique: bool):
-    """Merge partial rows per key within one bucket; returns
-    {key: [uniq_json_or_None, state, n]}.  Only the key, state and count
-    ride through the shuffle — label/endpoints are recovered from the key
-    (KEY_SEP-joined), keeping exchanged bytes minimal."""
-    acc: dict[str, list] = {}
-    keys = df[key_col].to_numpy()
-    states = df["state_json"].to_numpy()
-    counts = df["n_mentions"].to_numpy()
-    uniqs = df["unique_json"].to_numpy() if with_unique else None
-    for i in range(len(keys)):
-        key = keys[i]
-        state = json.loads(states[i])
-        cur = acc.get(key)
-        if cur is None:
-            acc[key] = [uniqs[i] if with_unique else None, state,
-                        int(counts[i])]
-        else:
-            _merge_state(cur[1], state)
-            cur[2] += int(counts[i])
-    return acc
-
-
 def make_node_finalizer(ontology_json: str):
-    """Per-bucket fold → typed node rows.
+    """Folded entity rows (one per key, :func:`state_fold`) → typed node
+    rows, one JSON parse of the state per key.
 
     Output: ``node_id (uint64), node_key, label, <attr cols typed per
     ontology: string/double/bool>, n_mentions``.  Unique attrs come from
@@ -571,67 +584,30 @@ def make_node_finalizer(ontology_json: str):
     schema = node_attr_schema(ontology)
     attr_names = list(schema)
 
-    def finalize(df: pd.DataFrame) -> pa.Table:
-        acc = _fold_group(df, "node_key", with_unique=True)
-        keys = sorted(acc)  # deterministic output order within bucket
+    def finalize(t: pa.Table) -> pa.Table:
+        keys = t.column("node_key").to_pylist()
         data: dict[str, list] = {n: [] for n in attr_names}
-        labels, n_mentions, node_ids = [], [], []
-        for key in keys:
-            uniq_json, state, n = acc[key]
-            label = key.split(KEY_SEP, 1)[0]
-            uniq = json.loads(uniq_json)
-            values = {k: v for k, (_o, v) in state.items()}
-            values.update(uniq)  # unique attrs are identity — never overwritten
+        for uniq_json, state_json in zip(t.column("unique_json").to_pylist(),
+                                         t.column("state_json").to_pylist()):
+            values = {k: v for k, (_o, v) in json.loads(state_json).items()}
+            # unique attrs are identity — never overwritten
+            values.update(json.loads(uniq_json))
             for name in attr_names:
                 data[name].append(coerce_value(values.get(name), schema[name]))
-            labels.append(label)
-            n_mentions.append(n)
-            node_ids.append(hash64(key))
-        arrays = [pa.array(node_ids, pa.uint64()),
+        arrays = [pa.array([hash64(k) for k in keys], pa.uint64()),
                   pa.array(keys, pa.string()),
-                  pa.array(labels, pa.string())]
+                  t.column("label").combine_chunks()]
         names = ["node_id", "node_key", "label"]
         for name in attr_names:
             arrays.append(_typed_array(data[name], schema[name]))
             names.append(name)
-        arrays.append(pa.array(n_mentions, pa.int64()))
+        arrays.append(t.column("n_mentions").combine_chunks())
         names.append("n_mentions")
         # explicit Arrow schema: blocks where an attr is all-null must not
         # degrade to a null-typed column (parquet files would disagree)
         return pa.Table.from_arrays(arrays, names=names)
 
     return finalize
-
-
-def entity_state_fold(df: pd.DataFrame) -> pa.Table:
-    """Per-bucket fold → one mergeable ``NORMALIZED_SCHEMA`` row per
-    entity key (the incremental snapshot state)."""
-    acc = _fold_group(df, "node_key", with_unique=True)
-    keys = sorted(acc)
-    return _normalized_table(
-        kind=["entity"] * len(keys),
-        label=[k.split(KEY_SEP, 1)[0] for k in keys],
-        node_key=keys,
-        unique_json=[acc[k][0] for k in keys],
-        state_json=[json.dumps(acc[k][1]) for k in keys],
-        n_mentions=[acc[k][2] for k in keys])
-
-
-def relation_fold(df: pd.DataFrame) -> pa.Table:
-    """Per-bucket fold → one ``NORMALIZED_SCHEMA`` row per edge key.
-    Both the build's edge path and the incremental snapshot state run
-    it; endpoint ids and typed attrs are attached after the endpoint
-    semi-join (:func:`make_edge_typed_builder`)."""
-    acc = _fold_group(df, "edge_key", with_unique=False)
-    keys = sorted(acc)
-    parts = [split_edge_key(k) for k in keys]
-    return _normalized_table(
-        kind=["relation"] * len(keys),
-        label=[p[0] for p in parts],
-        state_json=[json.dumps(acc[k][1]) for k in keys],
-        src_key=[p[1] for p in parts],
-        dst_key=[p[2] for p in parts],
-        n_mentions=[acc[k][2] for k in keys])
 
 
 def _typed_array(values: list, attr_type: str) -> pa.Array:
@@ -644,7 +620,7 @@ def _typed_array(values: list, attr_type: str) -> pa.Array:
 
 def make_edge_typed_builder(ontology_json: str):
     """Post-join ``map_batches`` body: folded relation rows (one per edge
-    key, :func:`relation_fold`) → typed edge table
+    key, :func:`state_fold`) → typed edge table
     ``edge_id, label, src_id, dst_id, <attr cols>, n_mentions``, where
     ``edge_id`` hashes the composed (label, src, dst) edge key.
 

@@ -3415,8 +3415,12 @@ def _edge_support(canon: Dataset, n_buckets: int = 64) -> Dataset:
     set never broadcast), but each closed triangle (u, a, b) credits
     its THREE edges, and the per-pair partials take one more
     pair-bucket fold (a triangle's side edges hash to other buckets
-    than its closing pair)."""
+    than its closing pair).  ``n_buckets`` must be a power of two: every
+    bucket hash here masks with ``n_buckets - 1``."""
+    if n_buckets <= 0 or n_buckets & (n_buckets - 1):
+        raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
     MIX = np.uint64(0x9E3779B97F4A7C15)
+    mask = np.uint64(n_buckets - 1)
     nodes, deg = _node_degrees(canon)
     empty = pa.table({"a": pa.array([], pa.uint64()),
                       "b": pa.array([], pa.uint64()),
@@ -3438,7 +3442,7 @@ def _edge_support(canon: Dataset, n_buckets: int = 64) -> Dataset:
         lo_first = (da < db) | (da == db)
         u = np.where(lo_first, a, b)
         v = np.where(lo_first, b, a)
-        ubk = ((u * MIX) & np.uint64(63)).astype(np.int64)
+        ubk = ((u * MIX) & mask).astype(np.int64)
         return pa.table({"u": pa.array(u, pa.uint64()),
                          "v": pa.array(v, pa.uint64()),
                          "wb": pa.array(ubk, pa.int64())})
@@ -3485,7 +3489,7 @@ def _edge_support(canon: Dataset, n_buckets: int = 64) -> Dataset:
     def pair_bucket(t: pa.Table) -> pa.Table:
         a = t.column("a").to_numpy(zero_copy_only=False)
         b = t.column("b").to_numpy(zero_copy_only=False)
-        bk = ((a * MIX + b) & np.uint64(n_buckets - 1)).astype(np.int64)
+        bk = ((a * MIX + b) & mask).astype(np.int64)
         return t.append_column("pb", pa.array(bk, pa.int64()))
 
     def close_support(g: pd.DataFrame) -> pa.Table:
@@ -3511,8 +3515,7 @@ def _edge_support(canon: Dataset, n_buckets: int = 64) -> Dataset:
                .groupby(["a", "b"], as_index=False).size())
         ca = cnt["a"].to_numpy(np.uint64)
         cb = cnt["b"].to_numpy(np.uint64)
-        bk2 = ((ca * MIX + cb) & np.uint64(n_buckets - 1)).astype(
-            np.int64)
+        bk2 = ((ca * MIX + cb) & mask).astype(np.int64)
         return pa.table({"a": pa.array(ca, pa.uint64()),
                          "b": pa.array(cb, pa.uint64()),
                          "n": pa.array(cnt["size"].to_numpy(np.int64),
@@ -3623,7 +3626,10 @@ def ktruss_edges(edges: Dataset, k: int = 4,
     ``max_rounds`` (the oracle's mechanically-unrolled CTE budget, the
     k-core contract — runtime raises past it, pytest pins the margin).
     Output: (src_id, dst_id, support) with src < dst, support measured
-    in the final subgraph."""
+    in the final subgraph.  ``k`` must be at least 3: the 2-truss is the
+    whole graph, but triangle-free edges would be peeled here."""
+    if k < 3:
+        raise ValueError(f"k-truss needs k >= 3, got {k}")
     canon = _canonical_edges(edges, src_col, dst_col,
                              n_buckets).materialize()
     n_edges = canon.count()

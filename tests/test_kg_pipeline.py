@@ -190,12 +190,13 @@ def test_resume_shard_count_mismatch_rejected(tmp_path):
 
 
 def test_metric_keys_per_path(small_corpus, built, tmp_path):
-    """Each path records only the phases it runs: the in-memory path
-    extracts and normalizes in one fused stage (one timer), the
-    checkpointed path times the two apart and reports its shards."""
-    common = {"config", "mentions", "nodes", "canonicalize_nodes_sec",
-              "edges", "edges_sec", "total_sec"}
-    assert set(built.metrics) == common | {"extract_normalize_sec"}
+    """Each path records only the phases it runs: in memory, extraction
+    streams into the fold (one timer); the checkpointed path times
+    extraction apart from the fold + node render and reports its
+    shards."""
+    common = {"config", "mentions", "nodes", "edges", "edges_sec",
+              "total_sec"}
+    assert set(built.metrics) == common | {"extract_canonicalize_sec"}
 
     pages = ray.data.from_arrow(small_corpus.pages.slice(0, 40))
     cfg = KGBuildConfig(ontology_json=json.dumps(ONTOLOGY_JSON),
@@ -203,7 +204,7 @@ def test_metric_keys_per_path(small_corpus, built, tmp_path):
                         n_shards=2)
     res = build_kg(pages, cfg, output_dir=str(tmp_path / "out"))
     assert set(res.metrics) == common | {
-        "extract_sec", "normalize_sec", "resume_skipped_shards",
+        "extract_sec", "canonicalize_sec", "resume_skipped_shards",
         "resume_recomputed_shards", "shard_fn"}
 
 

@@ -441,6 +441,41 @@ def test_ktruss_empty_fixpoint_and_constants():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_ktruss_rejects_k_below_3():
+    """The 2-truss is the whole graph; the peel would drop the
+    triangle-free edges, so k < 3 is refused."""
+    from kgforge.stages.graph import ktruss_edges
+    ds = ray.data.from_arrow(pa.table({
+        "src_id": pa.array([1, 2], pa.uint64()),
+        "dst_id": pa.array([2, 3], pa.uint64())}))
+    for k in (2, 1):
+        with pytest.raises(ValueError, match="k >= 3"):
+            ktruss_edges(ds, k=k)
+
+
+@pytest.mark.usefixtures("ray_session")
+def test_edge_support_bucket_count():
+    """Edge support is the same at every power-of-two bucket count,
+    including fewer buckets than the wedge hash used to assume; other
+    counts are refused."""
+    from kgforge.stages.graph import _canonical_edges, _edge_support
+    edges = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
+             (4, 5), (5, 6), (4, 6), (6, 7)]
+    ref = _brute_ktruss(edges, 2)
+    canon = _canonical_edges(ray.data.from_arrow(pa.table({
+        "src_id": pa.array([e[0] for e in edges], pa.uint64()),
+        "dst_id": pa.array([e[1] for e in edges], pa.uint64())})),
+        "src_id", "dst_id").materialize()
+    for n_buckets in (1, 2, 128):
+        out = _edge_support(canon, n_buckets).to_pandas()
+        got = {(int(r.a), int(r.b)): int(r.support)
+               for r in out.itertuples()}
+        assert got == {e: s for e, s in ref.items() if s > 0}, n_buckets
+    with pytest.raises(ValueError, match="power of two"):
+        _edge_support(canon, 48)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_ktruss_gate_converges_inside_budget():
     """The sf0.001 co-mention graph must converge with round margin
     (the k-core contract: engine rounds <= unroll budget)."""
