@@ -21,7 +21,13 @@ Stage graph::
       → entity rows → node finalizer → nodes parquet
       → relation rows → semi-join src/dst against node keys
                                               # dangling-edge drop (MATCH no-op)
+                                              #   broadcast: refs to the node
+                                              #   table's per-block key arrays
       → typed edge build → edges parquet
+
+An incremental delta (``kg_update.apply_delta``) replaces the fold with
+an exchange-free merge of the folded delta into the state's blocks, then
+runs the same two renders.
 
 The extraction checkpoint shards by ``shard_fn(url) % n_shards`` so a
 resumed run recomputes only unfinished shards regardless of input block
@@ -50,8 +56,8 @@ from ..keys import hash64
 from ..stages.canonicalize import (bucket_fold, make_edge_typed_builder,
                                    make_node_finalizer)
 from ..stages.extract import TripleExtractor
-from ..stages.joins import (collect_key_set, filter_keys_in_broadcast,
-                            filter_kind, semi_join_keys)
+from ..stages.joins import (filter_keys_in_broadcast, filter_kind,
+                            map_blocks, semi_join_keys)
 from ..state import checkpoint as ckpt
 
 
@@ -324,8 +330,9 @@ def build_nodes(state: Dataset, cfg: KGBuildConfig) -> Dataset:
 def build_edges(state: Dataset, nodes: Dataset, cfg: KGBuildConfig,
                 node_count: int | None = None) -> Dataset:
     """Folded state → typed edge table: drop relations with an endpoint
-    outside ``nodes`` (the size gate picks a broadcast key set or a
-    shuffle semi-join), then build typed rows."""
+    outside the materialized ``nodes`` (the size gate picks a broadcast
+    of refs to the node table's per-block key arrays, or a shuffle
+    semi-join), then build typed rows."""
     folded = filter_kind(state, "relation")
     node_keys = nodes.select_columns(["node_key"])
     strategy = cfg.join_strategy
@@ -333,7 +340,7 @@ def build_edges(state: Dataset, nodes: Dataset, cfg: KGBuildConfig,
         n = node_count if node_count is not None else node_keys.count()
         strategy = "broadcast" if n <= cfg.broadcast_limit else "join"
     if strategy == "broadcast":
-        key_ref = ray.put(collect_key_set(node_keys, "node_key"))
+        key_ref = ray.put(map_blocks(nodes, _column, "node_key"))
         folded = filter_keys_in_broadcast(folded, key_ref,
                                           ["src_key", "dst_key"])
     else:
@@ -345,6 +352,14 @@ def build_edges(state: Dataset, nodes: Dataset, cfg: KGBuildConfig,
                                 num_partitions=cfg.join_num_partitions)
     return folded.map_batches(make_edge_typed_builder(cfg.ontology_json),
                               batch_format="pandas")
+
+
+def _column(block: pa.Table, col: str) -> pa.Array:
+    return block.column(col).combine_chunks()
+
+
+def _column_sum(block: pa.Table, col: str) -> int:
+    return pc.sum(block.column(col)).as_py() or 0
 
 
 def build_kg(pages: Dataset, cfg: KGBuildConfig,
@@ -407,7 +422,8 @@ def _build_kg_inner(pages: Dataset, cfg: KGBuildConfig,
 
     # the one exchange; its state is pinned because both renders read it
     state = compact_state(normalized, cfg).materialize()
-    metrics["mentions"] = int(state.sum("n_mentions") or 0)
+    metrics["mentions"] = sum(ray.get(map_blocks(state, _column_sum,
+                                                 "n_mentions")))
     nodes = build_nodes(state, cfg).materialize()
     node_count = nodes.count()
     t2 = time.time()

@@ -19,40 +19,115 @@ full-rebuild kg_nodes/kg_edges SQL oracles).
 
 Dataflow per delta batch (sized by the DELTA, not the corpus):
 - the snapshot state is a compacted Dataset — ONE row per entity /
-  relation key holding the folded LWW state.  ``compact_state`` is the
-  build's own canonicalize fold (``kg_build.compact_state``): one
-  exchange for both kinds;
-- ``apply_delta`` unions the state with the delta's normalized rows
-  (state rows are just another mergeable partial) and compacts once;
-  keys the delta does not touch pass through the fold unparsed.  The
-  compacted state is then rendered exactly as a build renders its
-  state (``kg_build.build_nodes`` / ``build_edges``), with no further
-  exchange.  One exchange per delta in all.
+  relation key holding the folded LWW state, as the build's one
+  canonicalize exchange (``kg_build.compact_state``) emits it;
+- ``apply_delta`` materializes the delta once.  Up to
+  ``cfg.broadcast_limit`` delta rows it runs no exchange: a task folds
+  the delta to one row per key (``state_fold``); one plain task per
+  state block (``joins.map_blocks``) merges each touched key as
+  ``state_fold(state row, delta row)``, passes every other row through
+  untouched and returns the delta keys the block holds; one more task
+  appends, once, the folded rows of the keys no block holds.  A larger
+  delta is compacted together with the state in one exchange;
+- the new state is then rendered exactly as a build renders its state
+  (``kg_build.build_nodes`` / ``build_edges``), with no further
+  exchange.
 
 At 100 TB the state table is node+edge-key-sized (not corpus-sized),
 lives in partitioned Parquet via ``write_state``/``read_state``, and
-each delta re-shuffles only state + delta rows.
+a delta reads it once and shuffles none of it.
 """
 
 from __future__ import annotations
 
-from ray.data import Dataset
+import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..stages.canonicalize import NORMALIZED_SCHEMA
+import ray
+from ray.data import Dataset
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
+
+from ..stages.canonicalize import NORMALIZED_SCHEMA, fold_key, state_fold
+from ..stages.joins import block_refs, map_blocks
 from .kg_build import KGBuildConfig, build_edges, build_nodes, compact_state
 
 
 def apply_delta(state: Dataset, delta_normalized: Dataset,
                 cfg: KGBuildConfig):
     """Merge a delta batch into the snapshot: returns
-    ``(nodes, edges, new_state)``.  State rows union with the delta's
-    normalized rows as ordinary mergeable partials; one compaction (one
-    exchange), then the build's renders turn the new state into nodes
-    and edges — bit-identical to a full rebuild over all pages."""
-    new_state = compact_state(state.union(delta_normalized), cfg).materialize()
+    ``(nodes, edges, new_state)``, bit-identical to a full rebuild over
+    all pages.  The delta runs once.  Up to ``cfg.broadcast_limit``
+    delta rows (or with ``join_strategy="broadcast"``) the folded delta
+    is merged into the state block by block, with no exchange; above
+    it, state and delta rows are compacted together in one exchange.
+    Either way the build's renders turn the new state into nodes and
+    edges."""
+    state, delta = _materialized(state), _materialized(delta_normalized)
+    strategy = cfg.join_strategy
+    if strategy == "auto":
+        strategy = ("broadcast" if delta.count() <= cfg.broadcast_limit
+                    else "join")
+    if strategy == "broadcast":
+        new_state = _merge_delta(state, delta)
+    else:
+        new_state = compact_state(state.union(delta), cfg).materialize()
     nodes = build_nodes(new_state, cfg).materialize()
     edges = build_edges(new_state, nodes, cfg, node_count=nodes.count())
     return nodes, edges, new_state
+
+
+def _materialized(ds: Dataset) -> MaterializedDataset:
+    # materialize() on a materialized Dataset still copies its plan
+    return ds if isinstance(ds, MaterializedDataset) else ds.materialize()
+
+
+def _merge_delta(state: Dataset, delta: Dataset) -> Dataset:
+    """Fold the delta once in a task; one task per state block merges
+    it into the block and returns the delta keys the block holds; the
+    folded rows of the keys no block holds are appended once."""
+    folded = _fold_blocks.remote(*block_refs(delta))
+    outs = map_blocks(state, _merge_block, folded, num_returns=2)
+    added = _absent_rows.remote(folded, *(held for _, held in outs))
+    return ray.data.from_arrow_refs([merged for merged, _ in outs]
+                                    + [added])
+
+
+def _state_keys(t: pa.Table) -> pa.Array:
+    """The identity ``state_fold`` groups on: the fold key and kind."""
+    return pc.binary_join_element_wise(t.column("kind"), fold_key(t), "\x00")
+
+
+@ray.remote
+def _fold_blocks(*blocks) -> pa.Table:
+    tables = [BlockAccessor.for_block(b).to_arrow() for b in blocks]
+    return state_fold(pa.concat_tables(tables) if tables
+                      else NORMALIZED_SCHEMA.empty_table())
+
+
+def _merge_block(block: pa.Table, delta: pa.Table):
+    """One state block with the folded delta merged in, and the delta
+    keys the block holds.  Untouched rows pass through as they are; a
+    touched key becomes ``state_fold`` of its state row, then its delta
+    row, so the state row keeps the precedence a union-then-compact
+    gives it."""
+    keys = _state_keys(delta)
+    pos = pc.index_in(_state_keys(block), value_set=keys)
+    held_at = pos.drop_null()
+    held = keys.take(held_at)
+    if len(held) == 0:
+        return block, held
+    hit = pos.is_valid()
+    touched = pa.concat_tables([block.filter(hit), delta.take(held_at)])
+    return pa.concat_tables([block.filter(pc.invert(hit)),
+                             state_fold(touched)]), held
+
+
+@ray.remote
+def _absent_rows(delta: pa.Table, *held: pa.Array) -> pa.Table:
+    held_keys = pa.chunked_array(held, pa.string()).combine_chunks()
+    return delta.filter(pc.invert(pc.is_in(_state_keys(delta),
+                                           value_set=held_keys)))
 
 
 def write_state(state: Dataset, path: str) -> None:

@@ -411,11 +411,17 @@ class FusedExtractNormalize:
 
 
 def _dict_key(label: str, attrs: dict):
-    """Hashable memo key for a payload attrs dict (None if unhashable —
-    e.g. list/dict attribute values from a sloppy LLM payload; hash() is
-    probed because sorted() alone doesn't prove hashability)."""
+    """Hashable memo key for a payload attrs dict, exact on type (None
+    if unhashable — e.g. list/dict attribute values from a sloppy LLM
+    payload).  Python treats ``1``, ``True`` and ``1.0`` as one key, and
+    ``0.0`` and ``-0.0``, though each renders differently, so the key
+    carries every value's type, and the text of values equal to zero.
+    Items keep payload order: a payload reordered is only a memo miss."""
+    values = attrs.values()
     try:
-        key = (label,) + tuple(sorted(attrs.items()))
+        key = (label, tuple(attrs.items()), tuple(map(type, values)))
+        if 0 in values:
+            key += (tuple(map(str, values)),)
         hash(key)
         return key
     except TypeError:
@@ -478,7 +484,7 @@ def add_bucket(batch: pa.Table, col: str, n_buckets: int) -> pa.Table:
                                key_bucket(batch.column(col), n_buckets))
 
 
-def _fold_key(t: pa.Table) -> pa.Array:
+def fold_key(t: pa.Table) -> pa.Array:
     """The fold key of each normalized row: ``node_key`` for entities,
     the composed (label, src, dst) edge key for relations (components
     are escaped at composition, so separator bytes in attribute values
@@ -491,7 +497,7 @@ def _fold_key(t: pa.Table) -> pa.Array:
 
 def _fold_input(t: pa.Table, n_buckets: int) -> pa.Table:
     """Normalized rows of both kinds plus the bucket of their fold key."""
-    return t.append_column("bucket", key_bucket(_fold_key(t), n_buckets))
+    return t.append_column("bucket", key_bucket(fold_key(t), n_buckets))
 
 
 def state_fold(t: pa.Table) -> pa.Table:
@@ -500,7 +506,7 @@ def state_fold(t: pa.Table) -> pa.Table:
     passes through untouched (its ``state_json`` is never parsed); only
     repeated keys are merged (:func:`_merge_state`), keeping the first
     partial's identity columns and summing mention counts."""
-    t = t.append_column("key", _fold_key(t)).sort_by(
+    t = t.append_column("key", fold_key(t)).sort_by(
         [("key", "ascending"), ("kind", "ascending")])
     n = t.num_rows
     first = np.ones(n, dtype=bool)  # row starts a new (key, kind) run

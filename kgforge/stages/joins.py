@@ -7,9 +7,10 @@ edges silently no-op.
 
 Two exact strategies, picked by node-table size:
 
-- ``broadcast``: collect the node-key set once, ``ray.put`` it, and
-  filter inside ``map_batches`` — no shuffle; right-sized for node
-  tables up to ~10^7 keys.
+- ``broadcast``: ship the key set once (``ray.put``; the KG build
+  broadcasts refs to its node table's per-block key arrays) and filter
+  inside ``map_batches`` — no shuffle; right-sized for node tables up
+  to ~10^7 keys.
 - ``join``: hash-partitioned ``Dataset.join`` (Ray >= 2.46) on the key —
   both sides shuffle once; the scale path when the node set outgrows a
   single worker's heap.
@@ -24,6 +25,7 @@ import pyarrow.compute as pc
 
 import ray
 from ray.data import Dataset
+from ray.data.block import BlockAccessor
 
 _BCAST_CACHE: dict[str, object] = {}
 
@@ -93,7 +95,9 @@ def _broadcast_cache(ref):
 def _broadcast_value_array(ref) -> pa.Array:
     """Broadcast key set → ``pa.Array`` value set for ``pc.is_in``,
     built ONCE per worker process (the per-row Python membership loop it
-    replaces was the hot spot on the flagship edge path)."""
+    replaces was the hot spot on the flagship edge path).  The broadcast
+    value is a set or list of keys, or a list of refs to per-block key
+    arrays (:func:`map_blocks`), which are fetched and concatenated."""
     key = ("arr", ref.hex())
     if key not in _BCAST_CACHE:
         if len(_BCAST_CACHE) >= 8:
@@ -101,17 +105,36 @@ def _broadcast_value_array(ref) -> pa.Array:
         vals = ray.get(ref)
         if isinstance(vals, (set, frozenset)):
             vals = list(vals)
-        _BCAST_CACHE[key] = pa.array(vals)
+        if isinstance(vals, list) and vals and isinstance(
+                vals[0], ray.ObjectRef):
+            _BCAST_CACHE[key] = pa.concat_arrays(ray.get(vals))
+        else:
+            _BCAST_CACHE[key] = pa.array(vals)
     return _BCAST_CACHE[key]
 
 
-def collect_key_set(ds: Dataset, col: str) -> set:
-    """Driver-side streaming collect of one key column into a set."""
-    keys: set = set()
-    for batch in ds.select_columns([col]).iter_batches(
-            batch_size=65536, batch_format="pyarrow"):
-        keys.update(batch.column(col).to_pylist())
-    return keys
+@ray.remote
+def _on_block(fn, block, *args):
+    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
+def block_refs(ds: Dataset) -> list:
+    """Refs to the non-empty blocks of a materialized Dataset, in order.
+    Empty blocks are skipped: Ray may store them without a schema."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows]
+
+
+def map_blocks(ds: Dataset, fn, *args, num_returns: int = 1) -> list:
+    """Run ``fn(block, *args)`` on every non-empty block of a
+    materialized Dataset as one plain Ray task per block, and return the
+    result refs in block order (a list of ``num_returns`` refs per block
+    when ``fn`` returns that many values).  ObjectRef ``args`` arrive
+    resolved.  A per-block result of a few KB (a sum, the keys a block
+    matched, a key column) costs one small task per block instead of a
+    Dataset execution."""
+    task = _on_block.options(num_returns=num_returns)
+    return [task.remote(fn, ref, *args) for ref in block_refs(ds)]
 
 
 def filter_keys_in_broadcast(left: Dataset, key_set_ref,

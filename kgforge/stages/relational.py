@@ -2194,6 +2194,13 @@ def grouped_order_rounds(ds: Dataset, key_col: str, order_col: str,
               .map_groups(fold, batch_format="pyarrow"))
 
 
+def _trunc_mod(x, m: int) -> np.ndarray:
+    """``x % m`` with the sign of the dividend (C / SQL semantics), for
+    the truncated quotients Arrow's integer ``divide`` gives."""
+    return pc.subtract(x, pc.multiply(pc.divide(x, m), m)).to_numpy(
+        zero_copy_only=False)
+
+
 def grouped_hourly_chi2(ds: Dataset, group_col: str, ts_col: str
                         ) -> Dataset:
     """Per-group hour-of-day seasonality test: chi-square statistic of
@@ -2205,7 +2212,10 @@ def grouped_hourly_chi2(ds: Dataset, group_col: str, ts_col: str
     ``Σ (o_h - n/24)² / (n/24) = Σ (24·o_h - n)² / (24·n)`` has an
     integer numerator (all 24 cells, including zeros), so the float is
     ONE mirrored division.  Hours are integer arithmetic both sides
-    (``(epoch_µs // 3.6e9) % 24`` — no timezone/calendar surface).
+    (``(epoch_µs // 3.6e9) % 24`` — no timezone/calendar surface), with
+    DuckDB's truncating ``//`` and dividend-signed ``%``: before 1970 an
+    hour falls in [-23, 0], and the negative ones, as in the oracle, in
+    none of the 24 cells.
     One tiny (group, hour) count exchange via per-batch combiners."""
     import ray
 
@@ -2213,11 +2223,10 @@ def grouped_hourly_chi2(ds: Dataset, group_col: str, ts_col: str
         t = t.select([group_col, ts_col])
         t = t.filter(pc.and_(t.column(ts_col).is_valid(),
                              t.column(group_col).is_valid()))
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        hour = (us // 3_600_000_000) % 24
+        hours = pc.divide(t.column(ts_col).cast(pa.int64()),
+                          3_600_000_000)
         df = pd.DataFrame({"g": t.column(group_col).to_pylist(),
-                           "h": hour})
+                           "h": _trunc_mod(hours, 24)})
         agg = df.groupby(["g", "h"], as_index=False).size()
         return pa.table({
             "g": pa.array(agg["g"], pa.string()),
@@ -2311,8 +2320,10 @@ def grouped_daily_autocorr(ds: Dataset, group_col: str, ts_col: str
     driver-folded (group, day) count table (days are calendar-bounded
     — thousands of rows per group, a driver-sized series by
     construction), and the Pearson finish mirrors the oracle op-for-op
-    (two sqrt, one division).  One tiny (group, day) count exchange;
-    events never shuffle."""
+    (two sqrt, one division).  Days truncate toward zero as the
+    oracle's ``epoch_us(ts) // 86400000000`` does, so day 0 spans
+    (-1 day, +1 day).  One tiny (group, day) count exchange; events
+    never shuffle."""
     import math
 
     import ray
@@ -2321,10 +2332,9 @@ def grouped_daily_autocorr(ds: Dataset, group_col: str, ts_col: str
         t = t.select([group_col, ts_col])
         t = t.filter(pc.and_(t.column(ts_col).is_valid(),
                              t.column(group_col).is_valid()))
-        us = t.column(ts_col).cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
+        days = pc.divide(t.column(ts_col).cast(pa.int64()), 86_400_000_000)
         df = pd.DataFrame({"g": t.column(group_col).to_pylist(),
-                           "d": us // 86_400_000_000})
+                           "d": days.to_numpy(zero_copy_only=False)})
         agg = df.groupby(["g", "d"], as_index=False).size()
         return pa.table({
             "g": pa.array(agg["g"], pa.string()),

@@ -208,6 +208,18 @@ def test_metric_keys_per_path(small_corpus, built, tmp_path):
         "resume_recomputed_shards", "shard_fn"}
 
 
+def test_mentions_metric_from_block_tasks(small_corpus, built, monkeypatch):
+    """``mentions`` sums the folded state's counts with one plain task
+    per block, not with a ``Dataset.sum`` execution; the value is the
+    one that execution gave."""
+    def no_sum(*args, **kwargs):
+        raise AssertionError("build_kg ran Dataset.sum")
+
+    monkeypatch.setattr(ray.data.Dataset, "sum", no_sum)
+    res = _run(small_corpus)
+    assert res.metrics["mentions"] == built.metrics["mentions"] == 2792
+
+
 def test_head_key_skew_bounded_by_combiner():
     """Salted-key-free skew defense (SCALING.md "the combiner is the
     skew defense"): a pathological corpus where EVERY page mentions the
@@ -249,3 +261,68 @@ def test_head_key_skew_bounded_by_combiner():
     assert person.iloc[0]["n_mentions"] == 2 * n_pages
     # LWW: the age from the max (warc_ts, url_hash, seq) order wins
     assert person.iloc[0]["age"] == 30 + (n_pages - 1) % 3
+
+
+def test_combiner_memo_key_is_type_exact():
+    """``1``, ``True`` and ``1.0`` are one Python dict key, as are
+    ``0.0`` and ``-0.0``, yet each renders its own node: the fused
+    stage's memo, the checkpointed path (keyed on JSON text) and a fold
+    with no memo give the same rows."""
+    import pyarrow as pa
+
+    from kgforge.keys import hash64
+    from kgforge.stages.canonicalize import (FusedExtractNormalize,
+                                             NormalizeMentions,
+                                             _MentionFolder)
+    from kgforge.stages.extract import TripleExtractor
+
+    values = [1, True, 1.0, 0, False, 0.0, -0.0]
+
+    def payload():
+        return {"entities": [{"label": "Person", "attributes": {"name": v}}
+                             for v in values],
+                "relations": [{"label": "ACTED_IN",
+                               "source": {"label": "Person",
+                                          "attributes": {"name": v}},
+                               "target": {"label": "Movie",
+                                          "attributes": {"title": v}},
+                               "attributes": {"role": v}}
+                              for v in values]}
+
+    class TypedExtractor:
+        def extract(self, text, instruction=""):
+            return payload()
+
+    urls, stamps = ["https://typed.test/a", "https://typed.test/b"], [1, 2]
+    pages = pa.table({"url": urls,
+                      "warc_ts": pa.array(stamps, pa.timestamp("us")),
+                      "text": ["a", "b"]})
+    ontology = json.dumps(ONTOLOGY_JSON)
+    fused = FusedExtractNormalize(ontology, model_factory=TypedExtractor)
+    extract = TripleExtractor(ontology, model_factory=TypedExtractor)
+    checkpointed = NormalizeMentions(ontology)(extract(pages))
+
+    plain = _MentionFolder(ontology)
+    plain.start_batch()
+    for url, ts in zip(urls, stamps):
+        p, seq = payload(), 0
+        for ent in p["entities"]:
+            plain.add_entity((ts, hash64(url), seq), ent["label"],
+                             ent["attributes"])
+            seq += 1
+        for rel in p["relations"]:
+            plain.add_relation((ts, hash64(url), seq), rel["label"],
+                               rel["attributes"],
+                               rel["source"]["label"],
+                               rel["source"]["attributes"],
+                               rel["target"]["label"],
+                               rel["target"]["attributes"])
+            seq += 1
+
+    def rows(table):
+        return sorted(table.to_pylist(), key=lambda r: json.dumps(r))
+
+    want = rows(plain.finish_batch())
+    assert sum(r["label"] == "Person" for r in want) == len(values)
+    assert rows(fused(pages)) == want
+    assert rows(checkpointed) == want

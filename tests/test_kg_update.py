@@ -1,7 +1,9 @@
 """Incremental KG update: what a delta executes, counted from the Ray
 Data stats of its outputs, and that it renders the full rebuild."""
 
+import dataclasses
 import json
+import uuid
 
 import pyarrow as pa
 import pytest
@@ -10,7 +12,7 @@ import ray
 
 from kgforge.keys import hash64
 from kgforge.pipelines.kg_build import (KGBuildConfig, _fused_normalized,
-                                        build_kg)
+                                        build_edges, build_kg, build_nodes)
 from kgforge.pipelines.kg_update import (apply_delta, compact_state,
                                          read_state, write_state)
 from kgforge.stages.canonicalize import NORMALIZED_SCHEMA
@@ -111,24 +113,169 @@ def test_state_fold_passthrough_idempotent(setup):
     assert merged[0][0]["n_mentions"] == 2
 
 
-def test_apply_delta_one_exchange_equals_rebuild(setup, tmp_path):
-    """A delta compacts state + delta rows in one exchange and renders
-    the one-row-per-key state without another."""
-    pages, cfg = setup
+def _frame(ds, key):
+    return ds.to_pandas().sort_values(key).reset_index(drop=True)
+
+
+def _assert_same_kg(nodes, edges, want_nodes, want_edges):
+    for got, want, key in ((nodes, want_nodes, "node_key"),
+                           (edges, want_edges, "edge_id")):
+        a, b = _frame(got, key), _frame(want, key)
+        assert len(a) > 0
+        assert a.equals(b), key
+
+
+def _delta_split(pages, cfg, tmp_path):
+    """The even half of the pages as a persisted state, the odd half's
+    normalized rows as a lazy delta."""
     base = compact_state(_fused_normalized(_half(pages, 0), cfg), cfg)
     write_state(base, str(tmp_path / "state"))
     state = read_state(str(tmp_path / "state")).materialize()
-    delta = _fused_normalized(_half(pages, 1), cfg).materialize()
+    return state, _fused_normalized(_half(pages, 1), cfg)
+
+
+def test_apply_delta_one_exchange_equals_rebuild(setup, tmp_path):
+    """Below the size gate a delta crosses no exchange: the folded delta
+    is merged into the state block by block, and the one-row-per-key
+    state renders without one."""
+    pages, cfg = setup
+    state, delta = _delta_split(pages, cfg, tmp_path)
+    delta = delta.materialize()
     assert _exchanges(state, delta) == 0
 
     nodes, edges, new_state = apply_delta(state, delta, cfg)
     edges = edges.materialize()
-    assert _exchanges(nodes, edges, new_state) == 1
+    assert _exchanges(nodes, edges, new_state) == 0
 
     full = build_kg(pages, cfg)
-    for got, want, key in ((nodes, full.nodes, "node_key"),
-                           (edges, full.edges, "edge_id")):
-        a = got.to_pandas().sort_values(key).reset_index(drop=True)
-        b = want.to_pandas().sort_values(key).reset_index(drop=True)
-        assert len(a) > 0
-        assert a.equals(b), key
+    _assert_same_kg(nodes, edges, full.nodes, full.edges)
+
+
+def test_apply_delta_join_one_exchange_equals_rebuild(setup, tmp_path):
+    """Above the gate state and delta rows are compacted together in
+    exactly one exchange."""
+    pages, cfg = setup
+    cfg = dataclasses.replace(cfg, join_strategy="join")
+    state, delta = _delta_split(pages, cfg, tmp_path)
+    nodes, edges, new_state = apply_delta(state, delta.materialize(), cfg)
+    assert _exchanges(new_state) == 1
+    full = build_kg(pages, cfg)
+    _assert_same_kg(nodes, edges.materialize(), full.nodes, full.edges)
+
+
+def _state_keys(df):
+    return list(zip(df.kind, df.node_key.fillna("") + "|"
+                    + df.src_key.fillna("") + "|" + df.dst_key.fillna("")
+                    + "|" + df.label))
+
+
+def test_apply_delta_many_blocks_new_keys_once(setup, tmp_path):
+    """A state in several blocks, a lazy delta that touches keys in more
+    than one of them and adds keys none holds: the delta's pipeline runs
+    once, every new key is emitted once, and the result is the full
+    rebuild."""
+    pages, cfg = setup
+    state, delta = _delta_split(pages, cfg, tmp_path)
+    table = pa.concat_tables(ray.get(state.to_arrow_refs()))
+    step = -(-table.num_rows // 5)
+    state = ray.data.from_arrow([table.slice(i, step) for i in
+                                 range(0, table.num_rows, step)])
+    assert state.num_blocks() >= 4
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(t: pa.Table) -> pa.Table:
+        (calls / uuid.uuid4().hex).touch()
+        return t
+
+    delta = delta.map_batches(mark, batch_format="pyarrow")
+    nodes, edges, new_state = apply_delta(state, delta, cfg)
+    edges = edges.materialize()
+    batches = len(list(calls.iterdir()))
+    delta = delta.materialize()   # one more pass, to count its batches
+    assert batches > 0 and len(list(calls.iterdir())) == 2 * batches
+
+    delta_keys = set(_state_keys(delta.to_pandas()))
+    touched = [bool(delta_keys & set(_state_keys(ray.get(ref).to_pandas())))
+               for ref in state.to_arrow_refs()]
+    assert sum(touched) >= 2
+    old_keys = set(_state_keys(table.to_pandas()))
+    assert delta_keys - old_keys
+    keys = _state_keys(new_state.to_pandas())
+    assert len(keys) == len(set(keys)) == len(old_keys | delta_keys)
+
+    full = build_kg(pages, cfg)
+    _assert_same_kg(nodes, edges, full.nodes, full.edges)
+
+
+def _partial(kind="entity", label="Person", name=None, src=None, dst=None,
+             state=None, n=1) -> dict:
+    key = f'{label}\x1f{{name: "{name}"}}' if name else None
+    return {"kind": kind, "label": label, "node_key": key,
+            "unique_json": json.dumps({"name": name}) if name else None,
+            "state_json": json.dumps(state or {}), "src_key": src,
+            "dst_key": dst, "n_mentions": n}
+
+
+def _rows(rows) -> "ray.data.Dataset":
+    return ray.data.from_arrow(
+        pa.Table.from_pylist(rows, schema=NORMALIZED_SCHEMA)).materialize()
+
+
+def _rebuild(rows, cfg):
+    """Nodes and edges of one compaction over every partial."""
+    state = compact_state(_rows(rows), cfg).materialize()
+    nodes = build_nodes(state, cfg).materialize()
+    return nodes, build_edges(state, nodes, cfg).materialize()
+
+
+def test_apply_delta_completes_dangling_edge(setup):
+    """A relation whose target node is missing from the state is dropped
+    until a delta adds that node; then the edge appears."""
+    _pages, cfg = setup
+    ann = _partial(name="Ann", state={"age": [[1, 2, 0], 30]})
+    film = {**_partial(label="Movie", state={"release_year": [[1, 2, 1],
+                                                              1999]}),
+            "node_key": 'Movie\x1f{title: "Film"}',
+            "unique_json": json.dumps({"title": "Film"})}
+    acted = _partial(kind="relation", label="ACTED_IN",
+                     src=ann["node_key"], dst=film["node_key"],
+                     state={"role": [[1, 2, 2], "lead"]})
+    state = compact_state(_rows([ann, acted]), cfg).materialize()
+    assert build_edges(state, build_nodes(state, cfg).materialize(),
+                       cfg).count() == 0
+
+    nodes, edges, _ = apply_delta(state, _rows([film]), cfg)
+    want_nodes, want_edges = _rebuild([ann, acted, film], cfg)
+    assert edges.count() == 1
+    _assert_same_kg(nodes, edges, want_nodes, want_edges)
+
+
+def test_apply_delta_empty_delta(setup, tmp_path):
+    """An empty delta leaves the state and its renders unchanged."""
+    pages, cfg = setup
+    state, _ = _delta_split(pages, cfg, tmp_path)
+    empty = _rows([])
+    nodes, edges, new_state = apply_delta(state, empty, cfg)
+    assert sorted(_state_keys(new_state.to_pandas())) == sorted(
+        _state_keys(state.to_pandas()))
+    half = build_kg(_half(pages, 0), cfg)
+    _assert_same_kg(nodes, edges.materialize(), half.nodes, half.edges)
+
+
+def test_apply_delta_exact_order_tie(setup):
+    """A state row and a delta partial that tie exactly on order merge
+    to the full rebuild whichever of them is the state."""
+    _pages, cfg = setup
+    a = _partial(name="Tie", state={"age": [[7, 8, 9], 40]})
+    b = _partial(name="Tie", state={"age": [[7, 8, 9], 41]})
+    want_nodes, want_edges = _rebuild([a, b], cfg)
+    for old, new in ((a, b), (b, a)):
+        state = compact_state(_rows([old]), cfg).materialize()
+        nodes, _edges, new_state = apply_delta(state, _rows([new]), cfg)
+        assert _frame(nodes, "node_key").equals(_frame(want_nodes,
+                                                       "node_key"))
+        row, = new_state.take_all()
+        assert json.loads(row["state_json"]) == {"age": [[7, 8, 9], 41]}
+        assert row["n_mentions"] == 2

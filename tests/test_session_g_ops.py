@@ -351,6 +351,38 @@ def test_daily_autocorr_alternating_series():
 
 
 @pytest.mark.usefixtures("ray_session")
+def test_hour_and_day_buckets_match_duckdb_before_1970():
+    """Pre-1970 timestamps bucket as DuckDB's truncating ``//`` and
+    dividend-signed ``%`` do: -5e9 µs is hour -1 (numpy floors it to
+    22) and -1e11 µs is day -1 (numpy: -2)."""
+    import duckdb
+
+    import __ray_entry__ as entrymod
+    from kgforge.stages.relational import (grouped_daily_autocorr,
+                                           grouped_hourly_chi2)
+    hr, day = 3_600_000_000, 86_400_000_000
+    ts = {"old": [-5_000_000_000, -100_000_000_000, -1, -2 * day - hr,
+                  -3 * day + 7, 5 * hr, 2 * day + 3 * hr],
+          "mixed": [-hr - 1, -hr + 1, -day - 1, -day + 1, 0, hr, day + hr],
+          "new": [h * hr + 5 for h in range(30)]}
+    events = pa.table({
+        "event_type": pa.array([g for g, v in ts.items() for _ in v]),
+        "ts": pa.array([t for v in ts.values() for t in v],
+                       pa.timestamp("us"))})
+    ds = ray.data.from_arrow(events)
+    con = duckdb.connect()
+    con.register("events", events)
+    sql = entrymod.oracle_sql()
+    for name, op in (("events_hourly_chi2", grouped_hourly_chi2),
+                     ("events_daily_autocorr", grouped_daily_autocorr)):
+        got = op(ds, "event_type", "ts").to_pandas()
+        want = con.execute(sql[name]).df()
+        got = got.sort_values("event_type").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got[list(want.columns)], want,
+                                      check_dtype=False, check_exact=True)
+
+
+@pytest.mark.usefixtures("ray_session")
 def test_zipf_slope_exact_power_law():
     from kgforge.stages.retrieval import token_zipf_slope
     # craft corpus where token t_i appears 2^(8-i) times, i=1..4:
