@@ -118,10 +118,11 @@ def _on_block(fn, block, *args):
     return fn(BlockAccessor.for_block(block).to_arrow(), *args)
 
 
-def block_refs(ds: Dataset) -> list:
-    """Refs to the non-empty blocks of a materialized Dataset, in order.
-    Empty blocks are skipped: Ray may store them without a schema."""
-    return [ref for bundle in ds.iter_internal_ref_bundles()
+def nonempty_blocks(ds: Dataset) -> list:
+    """``(ref, num_rows)`` of the non-empty blocks of a materialized
+    Dataset, in order.  Empty blocks are skipped: Ray may store them
+    without a schema."""
+    return [(ref, meta.num_rows) for bundle in ds.iter_internal_ref_bundles()
             for ref, meta in bundle.blocks if meta.num_rows]
 
 
@@ -130,11 +131,11 @@ def map_blocks(ds: Dataset, fn, *args, num_returns: int = 1) -> list:
     materialized Dataset as one plain Ray task per block, and return the
     result refs in block order (a list of ``num_returns`` refs per block
     when ``fn`` returns that many values).  ObjectRef ``args`` arrive
-    resolved.  A per-block result of a few KB (a sum, the keys a block
-    matched, a key column) costs one small task per block instead of a
-    Dataset execution."""
+    resolved.  A per-block result of a few KB (a sum, a mask of the rows
+    a block matched, a key column) costs one small task per block
+    instead of a Dataset execution."""
     task = _on_block.options(num_returns=num_returns)
-    return [task.remote(fn, ref, *args) for ref in block_refs(ds)]
+    return [task.remote(fn, ref, *args) for ref, _ in nonempty_blocks(ds)]
 
 
 def filter_keys_in_broadcast(left: Dataset, key_set_ref,

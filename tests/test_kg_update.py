@@ -1,7 +1,6 @@
 """Incremental KG update: what a delta executes, counted from the Ray
 Data stats of its outputs, and that it renders the full rebuild."""
 
-import dataclasses
 import json
 import uuid
 
@@ -135,9 +134,9 @@ def _delta_split(pages, cfg, tmp_path):
 
 
 def test_apply_delta_one_exchange_equals_rebuild(setup, tmp_path):
-    """Below the size gate a delta crosses no exchange: the folded delta
-    is merged into the state block by block, and the one-row-per-key
-    state renders without one."""
+    """A delta crosses no exchange: the folded delta is merged into the
+    state block by block, and the one-row-per-key state renders without
+    one."""
     pages, cfg = setup
     state, delta = _delta_split(pages, cfg, tmp_path)
     delta = delta.materialize()
@@ -151,16 +150,26 @@ def test_apply_delta_one_exchange_equals_rebuild(setup, tmp_path):
     _assert_same_kg(nodes, edges, full.nodes, full.edges)
 
 
-def test_apply_delta_join_one_exchange_equals_rebuild(setup, tmp_path):
-    """Above the gate state and delta rows are compacted together in
-    exactly one exchange."""
+def test_apply_delta_larger_than_state_equals_rebuild(setup):
+    """A delta with more rows than the state it merges into still
+    crosses no exchange and equals the full rebuild."""
     pages, cfg = setup
-    cfg = dataclasses.replace(cfg, join_strategy="join")
-    state, delta = _delta_split(pages, cfg, tmp_path)
-    nodes, edges, new_state = apply_delta(state, delta.materialize(), cfg)
-    assert _exchanges(new_state) == 1
+
+    def part(keep):
+        def f(t: pa.Table) -> pa.Table:
+            urls = t.column("url").to_pylist()
+            return t.filter(pa.array([keep(hash64(u) % 4) for u in urls]))
+        return _fused_normalized(pages.map_batches(f, batch_format="pyarrow"),
+                                 cfg)
+
+    state = compact_state(part(lambda q: q == 0), cfg).materialize()
+    delta = part(lambda q: q != 0).materialize()
+    assert delta.count() > state.count()
+    nodes, edges, new_state = apply_delta(state, delta, cfg)
+    edges = edges.materialize()
+    assert _exchanges(nodes, edges, new_state) == 0
     full = build_kg(pages, cfg)
-    _assert_same_kg(nodes, edges.materialize(), full.nodes, full.edges)
+    _assert_same_kg(nodes, edges, full.nodes, full.edges)
 
 
 def _state_keys(df):
@@ -172,8 +181,8 @@ def _state_keys(df):
 def test_apply_delta_many_blocks_new_keys_once(setup, tmp_path):
     """A state in several blocks, a lazy delta that touches keys in more
     than one of them and adds keys none holds: the delta's pipeline runs
-    once, every new key is emitted once, and the result is the full
-    rebuild."""
+    once, every new key is emitted once, the block count stays put, and
+    the result is the full rebuild."""
     pages, cfg = setup
     state, delta = _delta_split(pages, cfg, tmp_path)
     table = pa.concat_tables(ray.get(state.to_arrow_refs()))
@@ -204,6 +213,7 @@ def test_apply_delta_many_blocks_new_keys_once(setup, tmp_path):
     assert delta_keys - old_keys
     keys = _state_keys(new_state.to_pandas())
     assert len(keys) == len(set(keys)) == len(old_keys | delta_keys)
+    assert new_state.num_blocks() == state.num_blocks()
 
     full = build_kg(pages, cfg)
     _assert_same_kg(nodes, edges, full.nodes, full.edges)
@@ -253,14 +263,19 @@ def test_apply_delta_completes_dangling_edge(setup):
 
 
 def test_apply_delta_empty_delta(setup, tmp_path):
-    """An empty delta leaves the state and its renders unchanged."""
+    """An empty delta leaves the state and its renders unchanged; a
+    delta into an empty state renders as a build of the delta alone."""
     pages, cfg = setup
-    state, _ = _delta_split(pages, cfg, tmp_path)
+    state, delta = _delta_split(pages, cfg, tmp_path)
     empty = _rows([])
     nodes, edges, new_state = apply_delta(state, empty, cfg)
     assert sorted(_state_keys(new_state.to_pandas())) == sorted(
         _state_keys(state.to_pandas()))
     half = build_kg(_half(pages, 0), cfg)
+    _assert_same_kg(nodes, edges.materialize(), half.nodes, half.edges)
+
+    nodes, edges, _ = apply_delta(empty, delta, cfg)
+    half = build_kg(_half(pages, 1), cfg)
     _assert_same_kg(nodes, edges.materialize(), half.nodes, half.edges)
 
 
@@ -279,3 +294,18 @@ def test_apply_delta_exact_order_tie(setup):
         row, = new_state.take_all()
         assert json.loads(row["state_json"]) == {"age": [[7, 8, 9], 41]}
         assert row["n_mentions"] == 2
+
+
+def test_apply_delta_state_row_keeps_identity(setup):
+    """A touched key keeps the state row's identity columns, as a
+    union-then-compact of state and delta keeps its first partial's."""
+    _pages, cfg = setup
+    old = _partial(name="Same", state={"age": [[1, 2, 0], 30]})
+    new = {**old, "unique_json": json.dumps({"name": "same"}),
+           "state_json": json.dumps({"age": [[1, 2, 1], 31]})}
+    state = compact_state(_rows([old]), cfg).materialize()
+    _nodes, _edges, new_state = apply_delta(state, _rows([new]), cfg)
+    row, = new_state.take_all()
+    assert row["unique_json"] == old["unique_json"]
+    assert json.loads(row["state_json"]) == {"age": [[1, 2, 1], 31]}
+    assert row["n_mentions"] == 2
